@@ -52,31 +52,26 @@ func (in inputs) pick(k int) ([]uint64, []uint64) {
 }
 
 // arrivals is an open-loop schedule of n requests at rate per second
-// with exponential inter-arrival gaps, drawn stratified: each run of
-// arrivalBlock gaps holds the quantile midpoints of the exponential
-// distribution, in an order the seed shuffles. Every seed offers the
-// same load, and bursts differ only in how they line up; with plain
-// random gaps the p90 latency swung by 15-30% between seeds.
+// with exponential inter-arrival gaps, drawn stratified: the n gaps are
+// the n quantile midpoints of the exponential distribution, in an order
+// the seed shuffles. Every seed offers the same load and the same gaps,
+// and runs differ only in how bursts line up; with plain random gaps the
+// tail latency swung by 15-30% between seeds.
 func arrivals(seed uint64, rate float64, n int) []time.Duration {
 	r := rand.New(rand.NewPCG(seed, 0xa7))
-	block := make([]float64, arrivalBlock)
-	for i := range block {
-		block[i] = -math.Log(1-(float64(i)+0.5)/arrivalBlock) / rate
+	gaps := make([]float64, n)
+	for i := range gaps {
+		gaps[i] = -math.Log(1-(float64(i)+0.5)/float64(n)) / rate
 	}
+	r.Shuffle(n, func(a, b int) { gaps[a], gaps[b] = gaps[b], gaps[a] })
 	out := make([]time.Duration, n)
 	var at float64
 	for i := range out {
-		if i%arrivalBlock == 0 {
-			r.Shuffle(len(block), func(a, b int) { block[a], block[b] = block[b], block[a] })
-		}
 		out[i] = time.Duration(at * float64(time.Second))
-		at += block[i%arrivalBlock]
+		at += gaps[i]
 	}
 	return out
 }
-
-// arrivalBlock is how many gaps share one set of quantiles.
-const arrivalBlock = 10
 
 // env is one live engine serving one model over TCP loopback.
 type env struct {
@@ -168,7 +163,10 @@ type phase struct {
 	bufferHits int
 	queueWait  []time.Duration
 	genLate    []time.Duration
-	elapsed    time.Duration
+	// elapsed is what throughput_rps divides by: a closed loop's wall
+	// time, or the open loop's summed Infer wall time, since the arrival
+	// schedule, not the program, sets how long the open loop lasts.
+	elapsed time.Duration
 }
 
 func (p *phase) merge(q *phase) {
@@ -228,6 +226,9 @@ type bench struct {
 	readyGaps    []time.Duration
 	storeBytes   []uint64
 	offBytes     []uint64
+
+	// Base-OT and keygen probe times of a traced run.
+	otProbes, kgProbes []time.Duration
 }
 
 // dial opens a session and records it as a child span of parent.

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"testing"
@@ -64,6 +65,21 @@ func TestInputsAndArrivalsArePureFunctionsOfSeed(t *testing.T) {
 	}
 	if !slices.IsSorted(s1) || s1[len(s1)-1] >= 100*time.Second/6 {
 		t.Fatal("schedule not sorted within its span")
+	}
+}
+
+func TestUnattributedCountsWrapperSelfTime(t *testing.T) {
+	// A 100 ns session: an Infer wrapper over 0-80 holding 40 ns of
+	// online phase, and the oracle check over 80-90. The wrapper's other
+	// 40 ns and the last 10 ns are not explained by any layer.
+	spans := []span{
+		{Trace: 1, ID: 1, Name: "session", Start: 0, End: 100},
+		{Trace: 1, ID: 2, Parent: 1, Name: "serve.infer", Start: 0, End: 80},
+		{Trace: 1, ID: 3, Parent: 2, Name: "delphi.online", Start: 10, End: 50},
+		{Trace: 1, ID: 4, Parent: 1, Name: "bench.verify", Start: 80, End: 90},
+	}
+	if got := unattributed(spans); math.Abs(got-0.5) > 1e-9 {
+		t.Fatalf("unattributed = %v, want 0.5", got)
 	}
 }
 

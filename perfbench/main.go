@@ -213,32 +213,31 @@ func (b *bench) traced(plain *phase, cfg runConfig, w io.Writer) (map[string]flo
 	}
 	infers := float64(b.verified.Load() - verified0)
 
-	// As many base-OT and keygen probes as the traced stretch ran full
-	// connects, and at least a few.
-	n := max(len(tp.full), 3)
-	otDur, err := baseOTProbe(n)
-	if err != nil {
-		return nil, fmt.Errorf("base-OT probe: %w", err)
-	}
-	kgDur, err := keygenProbe(n, b.model.F.P())
-	if err != nil {
-		return nil, fmt.Errorf("keygen probe: %w", err)
+	// Cold-start probed after each traced session; elsewhere the traced
+	// stretch made no full connect and a few probes give the layer's cost.
+	for len(b.otProbes) < 3 {
+		if err := b.probe(); err != nil {
+			return nil, fmt.Errorf("base-OT and keygen probe: %w", err)
+		}
 	}
 	immediate, err := b.immediateResumeProbe(b.size.probes)
 	if err != nil {
 		return nil, fmt.Errorf("immediate-reconnect probe: %w", err)
 	}
-	// The probes split each traced full connect into base OT, keygen and
-	// the rest.
+	// The i-th probe splits the i-th traced full connect into base OT,
+	// keygen and the rest.
 	b.tr.on = true
+	i := 0
 	for _, s := range b.tr.spans {
-		if s.Name == "serve.dial.full" {
+		if s.Name == "serve.dial.full" && i < len(b.otProbes) {
 			end := b.tr.t0.Add(time.Duration(s.End))
-			b.tr.nested(s.Trace, s.ID, "ot.base_ot", median(otDur), end)
-			b.tr.nested(s.Trace, s.ID, "bfv.keygen", median(kgDur), end.Add(-median(otDur)))
+			b.tr.nested(s.Trace, s.ID, "ot.base_ot", b.otProbes[i], end)
+			b.tr.nested(s.Trace, s.ID, "bfv.keygen", b.kgProbes[i], end.Add(-b.otProbes[i]))
+			i++
 		}
 	}
 	b.tr.on = false
+	otDur, kgDur := median(b.otProbes), median(b.kgProbes)
 
 	primary := func(p *phase) time.Duration {
 		if b.wl.name == "cold-start" {
@@ -255,9 +254,9 @@ func (b *bench) traced(plain *phase, cfg runConfig, w io.Writer) (map[string]flo
 	// Base OT runs only on the sessions that connected in full.
 	fullShare := share(float64(len(tp.full)), float64(len(tp.first)))
 	m := map[string]float64{
-		"ot.base_ot_ms":                    ms(median(otDur)),
-		"ot.base_ot_share":                 share(ms(median(otDur))*fullShare, ms(median(tp.first))),
-		"bfv.keygen_ms":                    ms(median(kgDur)),
+		"ot.base_ot_ms":                    ms(otDur),
+		"ot.base_ot_share":                 share(ms(otDur)*fullShare, ms(median(tp.first))),
+		"bfv.keygen_ms":                    ms(kgDur),
 		"serve.connect_full_ms":            ms(median(slices.Concat(tp.full, b.warmConnects))),
 		"serve.connect_resumed_ms":         ms(median(tp.resumed)),
 		"serve.ready_gap_ms":               ms(median(b.readyGaps)),

@@ -10,48 +10,41 @@ import (
 	"privinf/internal/transport"
 )
 
-// baseOTProbe times n OT-extension base-OT setups, sender and receiver
-// running concurrently over an in-process pipe: the part of a full
-// connect that pi_setup_seconds does not split out.
-func baseOTProbe(n int) ([]time.Duration, error) {
-	var out []time.Duration
-	for range n {
-		a, b := transport.Pipe()
-		errc := make(chan error, 1)
-		t0 := time.Now()
-		go func() {
-			_, err := ot.NewExtReceiver(b, rand.Reader)
-			errc <- err
-		}()
-		_, err := ot.NewExtSender(a, rand.Reader)
-		rerr := <-errc
-		d := time.Since(t0)
-		a.Close()
-		b.Close()
-		if err != nil {
-			return nil, err
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		out = append(out, d)
-	}
-	return out, nil
-}
-
-// keygenProbe times n HE key generations at the engine's parameters.
-func keygenProbe(n int, p uint64) ([]time.Duration, error) {
-	params, err := bfv.NewParams(bfv.DefaultN, p)
+// probe times one OT-extension base-OT setup, sender and receiver running
+// concurrently over an in-process pipe, and one HE key generation at the
+// engine's parameters: the parts of a full connect that pi_setup_seconds
+// does not split out. It appends the times to b.otProbes and b.kgProbes.
+func (b *bench) probe() error {
+	x, y := transport.Pipe()
+	defer x.Close()
+	defer y.Close()
+	errc := make(chan error, 1)
+	t0 := time.Now()
+	go func() {
+		_, err := ot.NewExtReceiver(y, rand.Reader)
+		errc <- err
+	}()
+	_, err := ot.NewExtSender(x, rand.Reader)
 	if err != nil {
-		return nil, err
+		x.Close() // unblocks the receiver
 	}
-	var out []time.Duration
-	for range n {
-		t0 := time.Now()
-		bfv.KeyGen(params, rand.Reader)
-		out = append(out, time.Since(t0))
+	rerr := <-errc
+	d := time.Since(t0)
+	if err != nil {
+		return err
 	}
-	return out, nil
+	if rerr != nil {
+		return rerr
+	}
+	params, err := bfv.NewParams(bfv.DefaultN, b.model.F.P())
+	if err != nil {
+		return err
+	}
+	t0 = time.Now()
+	bfv.KeyGen(params, rand.Reader)
+	b.kgProbes = append(b.kgProbes, time.Since(t0))
+	b.otProbes = append(b.otProbes, d)
+	return nil
 }
 
 // immediateResumeProbe does n full connects, each closed at once and

@@ -129,22 +129,43 @@ func covered(parent span, children []span) time.Duration {
 	return time.Duration(sum)
 }
 
-// unattributed is the share of root-span time no child span covers:
-// time the layer split does not explain.
+// layerSpans name the spans that stand for a layer: the program's phases
+// taken from its reports and the probes, the open loop's queueing, and
+// the benchmark's own oracle check.
+var layerSpans = map[string]bool{
+	"ot.base_ot": true, "bfv.keygen": true, "delphi.offline": true, "delphi.online": true,
+	"load.queue": true, "bench.verify": true,
+}
+
+// unattributed is the share of root-span time that no layer span under
+// the root covers: the self time of the wrapper spans around Dial, Infer
+// and Close, which is end-to-end time the layer split does not explain.
 func unattributed(spans []span) float64 {
 	kids := childrenOf(spans)
-	var total, self time.Duration
+	var total, layered time.Duration
 	for _, s := range spans {
 		if s.Parent == 0 {
-			dur := time.Duration(s.End - s.Start)
-			total += dur
-			self += dur - covered(s, kids[s.ID])
+			total += time.Duration(s.End - s.Start)
+			layered += covered(s, layersUnder(s.ID, kids, nil))
 		}
 	}
 	if total == 0 {
 		return 0
 	}
-	return float64(self) / float64(total)
+	return 1 - float64(layered)/float64(total)
+}
+
+// layersUnder appends the layer spans below span id to out, looking
+// through wrapper spans but not into layer spans.
+func layersUnder(id uint64, kids map[uint64][]span, out []span) []span {
+	for _, c := range kids[id] {
+		if layerSpans[c.Name] {
+			out = append(out, c)
+		} else {
+			out = layersUnder(c.ID, kids, out)
+		}
+	}
+	return out
 }
 
 func childrenOf(spans []span) map[uint64][]span {
