@@ -2,9 +2,9 @@
 // connect-latency tiers of a repeat client.
 //
 // The paper's end-to-end characterization shows setup, not online
-// inference, dominating per-session cost; in this repo a cold connect
-// spends ~0.6 s in public-key base OTs alone, plus client-side circuit and
-// plan construction. The preamble subsystem collapses both for repeat
+// inference, dominating per-session cost; in this repo most of a cold
+// connect's ~30 ms goes to public-key base OTs, plus client-side circuit
+// and plan construction. The preamble subsystem collapses both for repeat
 // clients:
 //
 //	cold          first ever connect: full wire handshake, HE keygen,

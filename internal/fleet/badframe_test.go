@@ -14,7 +14,7 @@ import (
 // codebase.
 const (
 	wireTagCtrl = 0x01
-	wireVersion = 4
+	wireVersion = 5
 )
 
 // TestRouterGarbageOpcodeRejected: a connection through the router that

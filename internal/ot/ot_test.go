@@ -1,7 +1,13 @@
 package ot
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"privinf/internal/transport"
@@ -98,6 +104,283 @@ func TestBaseOTAllChoicePatterns(t *testing.T) {
 		}
 		checkTransfer(t, pairs, pattern, got)
 	}
+}
+
+// recordConn wraps a MsgConn and keeps a copy of every payload it sends.
+type recordConn struct {
+	transport.MsgConn
+	sent [][]byte
+}
+
+func (c *recordConn) Send(p []byte) error {
+	c.sent = append(c.sent, bytes.Clone(p))
+	return c.MsgConn.Send(p)
+}
+
+// scriptConn is a MsgConn whose Recv replays scripted frames (io.EOF once
+// they run out) and whose Send only records, so one side of a base OT can
+// face an arbitrary peer.
+type scriptConn struct {
+	in   [][]byte
+	sent [][]byte
+}
+
+func (c *scriptConn) Send(p []byte) error {
+	c.sent = append(c.sent, bytes.Clone(p))
+	return nil
+}
+
+func (c *scriptConn) Recv() ([]byte, error) {
+	if len(c.in) == 0 {
+		return nil, io.EOF
+	}
+	f := c.in[0]
+	c.in = c.in[1:]
+	return f, nil
+}
+
+func (c *scriptConn) SentBytes() uint64 { return 0 }
+func (c *scriptConn) RecvBytes() uint64 { return 0 }
+
+// seededPoints returns the first n public points a party drawing from
+// newSeeded(seed) generates: the sender's A for n = 1, the receiver's
+// b_i·G otherwise.
+func seededPoints(t testing.TB, seed int64, n int) [][]byte {
+	t.Helper()
+	scalars, err := drawScalars(newSeeded(seed), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([][]byte, n)
+	for i := range scalars {
+		k, err := p256.NewPrivateKey(scalars[i][:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = k.PublicKey().Bytes()
+	}
+	return out
+}
+
+// scalarPoint returns k·G for a small k.
+func scalarPoint(t testing.TB, k byte) []byte {
+	t.Helper()
+	var s [scalarLen]byte
+	s[scalarLen-1] = k
+	priv, err := p256.NewPrivateKey(s[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return priv.PublicKey().Bytes()
+}
+
+func TestAddPoints(t *testing.T) {
+	g, g2, g3 := scalarPoint(t, 1), scalarPoint(t, 2), scalarPoint(t, 3)
+	sum, err := addPoints(g, g2)
+	if err != nil || !bytes.Equal(sum, g3) {
+		t.Fatalf("G + 2G = %x, %v; want 3G", sum, err)
+	}
+	diff, err := addPoints(g3, negPoint(g))
+	if err != nil || !bytes.Equal(diff, g2) {
+		t.Fatalf("3G - G = %x, %v; want 2G", diff, err)
+	}
+	for _, q := range [][]byte{g, negPoint(g)} {
+		if _, err := addPoints(g, q); !errors.Is(err, ErrDegenerate) {
+			t.Errorf("G + (±G) = %v, want ErrDegenerate", err)
+		}
+	}
+}
+
+// badPoints are 65-byte encodings crypto/ecdh must refuse.
+func badPoints(t *testing.T) map[string][]byte {
+	g := scalarPoint(t, 1)
+	offCurve := bytes.Clone(g)
+	offCurve[pointLen-1] ^= 1
+	infinity := make([]byte, pointLen)
+	compressedTag := bytes.Clone(g)
+	compressedTag[0] = 2
+	return map[string][]byte{"off-curve": offCurve, "infinity": infinity, "compressed tag": compressedTag}
+}
+
+func TestBaseReceiveRejectsBadSenderFlights(t *testing.T) {
+	g := scalarPoint(t, 1)
+	choices := []bool{true, false}
+	bad := badPoints(t)
+	bad["infinity (1 byte)"] = []byte{0}
+	bad["compressed"] = append([]byte{2 + g[pointLen-1]&1}, g[1:33]...)
+	bad["short"] = g[:pointLen-1]
+	bad["empty"] = nil
+	for name, a := range bad {
+		c := &scriptConn{in: [][]byte{a}}
+		if _, err := BaseReceive(c, choices, newSeeded(1)); !errors.Is(err, ErrBadFlight) {
+			t.Errorf("%s A: err = %v, want ErrBadFlight", name, err)
+		}
+		if len(c.sent) != 0 {
+			t.Errorf("%s A: receiver sent %d frames before rejecting", name, len(c.sent))
+		}
+	}
+	for _, n := range []int{0, 2*KeySize*len(choices) - 1, 2*KeySize*len(choices) + 1} {
+		c := &scriptConn{in: [][]byte{g, make([]byte, n)}}
+		if _, err := BaseReceive(c, choices, newSeeded(1)); !errors.Is(err, ErrBadFlight) {
+			t.Errorf("%d-byte ciphertext flight: err = %v, want ErrBadFlight", n, err)
+		}
+	}
+}
+
+func TestBaseSendRejectsBadReceiverFlights(t *testing.T) {
+	g := scalarPoint(t, 1)
+	pairs := make([][2]Message, 3)
+	valid := bytes.Repeat(g, len(pairs))
+	flights := map[string][]byte{
+		"empty":      nil,
+		"short":      valid[:len(valid)-1],
+		"long":       append(bytes.Clone(valid), 4),
+		"compressed": bytes.Repeat(append([]byte{2 + g[pointLen-1]&1}, g[1:33]...), len(pairs)),
+	}
+	for name, p := range badPoints(t) {
+		f := bytes.Clone(valid)
+		copy(f[2*pointLen:], p) // the last OT: earlier ones must not mask it
+		flights[name] = f
+	}
+	for name, f := range flights {
+		c := &scriptConn{in: [][]byte{f}}
+		if err := BaseSend(c, pairs, newSeeded(2)); !errors.Is(err, ErrBadFlight) {
+			t.Errorf("%s flight: err = %v, want ErrBadFlight", name, err)
+		}
+		if len(c.sent) != 1 {
+			t.Errorf("%s flight: sender sent %d frames, want only A", name, len(c.sent))
+		}
+	}
+}
+
+func TestBaseOTDegenerateSum(t *testing.T) {
+	// Sender: a receiver point equal to ±A has no usable B - A.
+	const sendSeed = 2
+	bigA := seededPoints(t, sendSeed, 1)[0]
+	g := scalarPoint(t, 1)
+	for name, b := range map[string][]byte{"B = A": bigA, "B = -A": negPoint(bigA)} {
+		c := &scriptConn{in: [][]byte{append(bytes.Clone(g), b...)}}
+		if err := BaseSend(c, make([][2]Message, 2), newSeeded(sendSeed)); !errors.Is(err, ErrDegenerate) {
+			t.Errorf("%s: BaseSend err = %v, want ErrDegenerate", name, err)
+		}
+	}
+	// Receiver: a sender point equal to ±b_0·G has no usable P + A.
+	const recvSeed = 3
+	p0 := seededPoints(t, recvSeed, 1)[0]
+	for name, a := range map[string][]byte{"A = P": p0, "A = -P": negPoint(p0)} {
+		c := &scriptConn{in: [][]byte{a}}
+		if _, err := BaseReceive(c, []bool{false, true}, newSeeded(recvSeed)); !errors.Is(err, ErrDegenerate) {
+			t.Errorf("%s: BaseReceive err = %v, want ErrDegenerate", name, err)
+		}
+		if len(c.sent) != 0 {
+			t.Errorf("%s: receiver sent its flight after a degenerate sum", name)
+		}
+	}
+}
+
+// runRecordedBaseOT runs kappa base OTs with fixed seeds over a pipe and
+// returns the messages received plus every payload each side sent.
+func runRecordedBaseOT(t *testing.T) ([]Message, [][]byte, [][]byte) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(21))
+	pairs := randomPairs(rng, kappa)
+	choices := randomChoices(rng, kappa)
+	a, b := transport.Pipe()
+	snd, rcv := &recordConn{MsgConn: a}, &recordConn{MsgConn: b}
+	errCh := make(chan error, 1)
+	go func() { errCh <- BaseSend(snd, pairs, newSeeded(22)) }()
+	got, err := BaseReceive(rcv, choices, newSeeded(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	checkTransfer(t, pairs, choices, got)
+	return got, snd.sent, rcv.sent
+}
+
+func TestBaseOTTranscriptIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	got1, snd1, rcv1 := runRecordedBaseOT(t)
+	runtime.GOMAXPROCS(2)
+	got2, snd2, rcv2 := runRecordedBaseOT(t)
+	for i := range got1 {
+		if got1[i] != got2[i] {
+			t.Fatalf("OT %d output differs between GOMAXPROCS 1 and 2", i)
+		}
+	}
+	for name, pair := range map[string][2][][]byte{"sender": {snd1, snd2}, "receiver": {rcv1, rcv2}} {
+		if len(pair[0]) != len(pair[1]) {
+			t.Fatalf("%s sent %d frames vs %d", name, len(pair[0]), len(pair[1]))
+		}
+		for i := range pair[0] {
+			if !bytes.Equal(pair[0][i], pair[1][i]) {
+				t.Errorf("%s frame %d differs between GOMAXPROCS 1 and 2", name, i)
+			}
+		}
+	}
+}
+
+// TestBaseOTKnownAnswer pins the protocol's bytes for fixed seeds: the
+// point encodings, the transcript each key is hashed over and the message
+// masking. A change here is a wire change (bump serve's wireVersion).
+func TestBaseOTKnownAnswer(t *testing.T) {
+	_, snd, rcv := runRecordedBaseOT(t)
+	h := sha256.New()
+	for _, f := range append(snd, rcv...) {
+		h.Write(f)
+	}
+	const want = "dabbd37e5b31d5a29994121cd9bd64936e959a0b2ee8ad4bfe58d8a67de61a3f"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("base-OT transcript hash %s, want %s", got, want)
+	}
+}
+
+func TestBaseOTFlightSizes(t *testing.T) {
+	// Sender: A, then two masked messages per OT. Receiver: one point per OT.
+	_, snd, rcv := runRecordedBaseOT(t)
+	if len(snd) != 2 || len(snd[0]) != pointLen || len(snd[1]) != 2*KeySize*kappa {
+		t.Errorf("sender frames %v bytes, want [%d %d]", frameLens(snd), pointLen, 2*KeySize*kappa)
+	}
+	if len(rcv) != 1 || len(rcv[0]) != pointLen*kappa {
+		t.Errorf("receiver frames %v bytes, want [%d]", frameLens(rcv), pointLen*kappa)
+	}
+}
+
+func frameLens(frames [][]byte) []int {
+	out := make([]int, len(frames))
+	for i, f := range frames {
+		out[i] = len(f)
+	}
+	return out
+}
+
+// FuzzBaseSendReceiverFlight feeds arbitrary bytes to BaseSend as the
+// receiver's point flight, the largest input a cold peer controls before
+// a session starts. The OT count follows the input length so that lengths
+// divisible by 65 reach point parsing. It must error or succeed, never
+// panic; on success the sender answered with a full ciphertext flight.
+func FuzzBaseSendReceiverFlight(f *testing.F) {
+	g, g2 := scalarPoint(f, 1), scalarPoint(f, 2)
+	bigA := seededPoints(f, 1, 1)[0]
+	f.Add(append(bytes.Clone(g), g2...))
+	f.Add(append(bytes.Clone(g), bigA...))
+	f.Add(negPoint(bigA))
+	f.Add(make([]byte, pointLen))
+	f.Add(g[:pointLen-1])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, flight []byte) {
+		n := min(max(len(flight)/pointLen, 1), kappa)
+		c := &scriptConn{in: [][]byte{flight}}
+		err := BaseSend(c, make([][2]Message, n), newSeeded(1))
+		if err == nil && (len(c.sent) != 2 || len(c.sent[1]) != 2*KeySize*n) {
+			t.Fatalf("accepted flight but sent frames %v", frameLens(c.sent))
+		}
+		if err != nil && !errors.Is(err, ErrBadFlight) && !errors.Is(err, ErrDegenerate) {
+			t.Fatalf("untyped error %v", err)
+		}
+	})
 }
 
 func setupExtension(t *testing.T) (*ExtSender, *ExtReceiver) {

@@ -8,7 +8,8 @@ import (
 )
 
 // OT resumption: the expensive part of IKNP setup is the kappa public-key
-// base OTs (~0.6 s of modular exponentiation per session). Their output —
+// base OTs (~25 ms of P-256 scalar multiplication per session on two
+// cores, against well under a millisecond to resume). Their output —
 // the sender's secret correlation bits s plus one PRG seed per column on
 // the sender side, both seeds per column on the receiver side — is
 // input-independent, so a party that completes one full setup can cache it

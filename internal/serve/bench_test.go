@@ -74,8 +74,8 @@ func BenchmarkSessionConnect(b *testing.B) {
 
 // BenchmarkSessionResume measures the connect-latency tiers the session
 // preamble subsystem creates. "cold" is a full connect: wire handshake, HE
-// keygen, client artifact build, and ~kappa public-key base OTs (the ~0.6 s
-// the ROADMAP calls out). "resumed" presents the ticket from a prior full
+// keygen, client artifact build, and kappa public-key base OTs (~25 ms on
+// two cores, most of the cold connect). "resumed" presents the ticket from a prior full
 // handshake: both sides expand cached OT seeds locally, so the base OTs —
 // and their three network flights — disappear, and the cached ClientShared
 // replaces circuit/plan construction. The acceptance bar is resumed ≥ 5×

@@ -203,7 +203,7 @@ func connect(conn *transport.Conn, opts ConnectOptions) (*Client, error) {
 	if err := transport.SendPreamble(conn, transport.Preamble{Version: wireVersion}); err != nil {
 		return nil, err
 	}
-	hello := helloMsg{Version: wireVersion, Model: opts.Model, Ticket: ticket, Nonce: nonce}
+	hello := helloMsg{Version: wireVersion, Model: opts.Model, Ticket: ticket, Nonce: nonce, NoTicket: opts.Preamble == nil}
 	if err := sendCtrl(conn, opHello, marshalJSON(hello)); err != nil {
 		return nil, err
 	}

@@ -418,7 +418,9 @@ func (e *Engine) handle(conn *transport.Conn, addr string) {
 	// setup from cached seed material or is rejected with a typed code and
 	// the session falls back to the full base-OT path on this same
 	// connection. Full handshakes get a fresh ticket reserved here (it
-	// rides in the welcome) and published once setup produces its state.
+	// rides in the welcome) and published once setup produces its state,
+	// unless the client said it cannot keep one: its seeds would only take
+	// budget from the tickets of clients that do return.
 	var (
 		resume       *delphi.OTResume
 		resumeReject string
@@ -437,8 +439,11 @@ func (e *Engine) handle(conn *transport.Conn, addr string) {
 	}
 	if resume != nil {
 		serverNonce = randomID(e.entropy)
-	} else if e.tickets != nil {
+	} else if e.tickets != nil && !hello.NoTicket {
 		newTicket = e.tickets.reserve()
+		// insert settles the reservation once setup publishes the ticket;
+		// this covers every other way out of the handshake.
+		defer e.tickets.settle(newTicket)
 	}
 	// Establishment tier for the resume-tier counter: a redeemed ticket,
 	// a typed resume rejection that fell back to the full path, or a

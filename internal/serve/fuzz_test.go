@@ -134,6 +134,7 @@ func FuzzClientHello(f *testing.F) {
 	f.Add([]byte(marshalJSON(helloMsg{Version: wireVersion, Model: "nope"})))
 	f.Add([]byte(marshalJSON(helloMsg{Version: wireVersion, Ticket: make([]byte, ticketIDBytes), Nonce: make([]byte, ticketIDBytes)})))
 	f.Add([]byte(marshalJSON(helloMsg{Version: wireVersion, Ticket: make([]byte, ticketIDBytes)}))) // ticket, no nonce
+	f.Add([]byte(marshalJSON(helloMsg{Version: wireVersion, NoTicket: true})))
 	f.Add([]byte(marshalJSON(helloMsg{Version: 2})))
 	f.Add([]byte("not json"))
 	f.Add([]byte{})

@@ -189,6 +189,9 @@ func TestRegistryRejectsStaleWeightsSameArchitecture(t *testing.T) {
 	if art.Model() == nil || art.Model() != reg.entries["m"].model {
 		t.Fatal("rebuilt artifact not attached to the re-registered model")
 	}
+	// The rebuild's write-through runs in the background; let it finish
+	// before the TempDir cleanup removes the directory.
+	reg.Flush()
 }
 
 // TestRegistryEmptyStoreDirFallsBack: a store with no files behaves like a

@@ -106,6 +106,124 @@ func TestSessionResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNoTicketWithoutPreamble: a client with no preamble cannot keep a
+// ticket, so its full handshake must not reserve one (whose seeds would
+// take ticket budget from returning clients), while a preamble client on
+// the same engine still gets one.
+func TestNoTicketWithoutPreamble(t *testing.T) {
+	model := testModel(t, 71)
+	eng, ln := pipeEngine(t, Config{Model: model, Variant: delphi.ClientGarbler, LPHEWorkers: 2})
+	x := make([]uint64, model.InputLen())
+
+	conn, err := ln.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := Connect(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An inference settles the server side of setup, where a ticket
+	// would have been published.
+	if _, _, _, err := plain.Infer(x); err != nil {
+		t.Fatal(err)
+	}
+	plain.Close()
+	if tk := eng.Stats().Tickets; tk.Issued != 0 || tk.Tickets != 0 || tk.Bytes != 0 {
+		t.Fatalf("preamble-less connect left issued=%d tickets=%d bytes=%d, want all 0", tk.Issued, tk.Tickets, tk.Bytes)
+	}
+
+	p := NewPreamble()
+	c := connectPreamble(t, ln, "", p)
+	defer c.Close()
+	if _, _, _, err := c.Infer(x); err != nil {
+		t.Fatal(err)
+	}
+	if !p.HasTicket() {
+		t.Fatal("preamble connect got no ticket")
+	}
+	if tk := eng.Stats().Tickets; tk.Issued != 1 || tk.Tickets != 1 || tk.Bytes == 0 {
+		t.Fatalf("preamble connect left issued=%d tickets=%d bytes=%d, want 1/1/>0", tk.Issued, tk.Tickets, tk.Bytes)
+	}
+}
+
+// awaitTicketPublished blocks until the engine has published the ticket p
+// holds. Connect can return before the engine's half of setup does, so a
+// test that moves the cache's clock must wait, or the late insert stamps
+// its expiry from the moved clock.
+func awaitTicketPublished(eng *Engine, p *Preamble) {
+	id, _ := p.ticketSnapshot()
+	eng.tickets.mu.Lock()
+	ch := eng.tickets.pending[string(id)]
+	eng.tickets.mu.Unlock()
+	if ch != nil {
+		<-ch
+	}
+}
+
+// TestTicketRedeemWaitsForPendingPublish: a ticket presented while the
+// session that reserved it is still in setup resolves when that setup
+// settles — to the published state on success, to unknown_ticket when the
+// setup ended without publishing.
+func TestTicketRedeemWaitsForPendingPublish(t *testing.T) {
+	tc := newTicketCache(time.Hour, -1, nil)
+	type result struct {
+		state  *delphi.OTResume
+		reject string
+	}
+	done := make(chan result, 1)
+	redeem := func(id []byte) {
+		go func() {
+			s, r := tc.redeem(id, "m")
+			done <- result{s, r}
+		}()
+	}
+
+	id := tc.reserve()
+	redeem(id)
+	select {
+	case r := <-done:
+		t.Fatalf("redeem of a pending ticket returned before its publish: %+v", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	state := testOTResume(t, 50)
+	tc.insert(id, state, "m")
+	if r := <-done; r.state != state || r.reject != "" {
+		t.Fatalf("redeem after publish = %+v, want the published state", r)
+	}
+
+	failed := tc.reserve()
+	redeem(failed)
+	tc.settle(failed)
+	if r := <-done; r.state != nil || r.reject != resumeUnknownTicket {
+		t.Fatalf("redeem of an abandoned reservation = %+v, want %q", r, resumeUnknownTicket)
+	}
+	tc.settle(id) // settling a published ticket is a no-op
+	if _, reject := tc.redeem(id, "m"); reject != "" {
+		t.Fatalf("published ticket rejected with %q after a late settle", reject)
+	}
+}
+
+// TestImmediateReconnectResumes: a client that closes its first session
+// as soon as Connect returns and reconnects at once still resumes, under
+// both variants, although its half of setup can finish before the
+// engine's half publishes the ticket.
+func TestImmediateReconnectResumes(t *testing.T) {
+	for _, v := range []delphi.Variant{delphi.ClientGarbler, delphi.ServerGarbler} {
+		_, ln := pipeEngine(t, Config{Model: testModel(t, 72), Variant: v, LPHEWorkers: 2})
+		for i := range 5 {
+			p := NewPreamble()
+			connectPreamble(t, ln, "", p).Close()
+			c := connectPreamble(t, ln, "", p)
+			resumed, code := c.ResumeOutcome()
+			c.Close()
+			if !resumed {
+				t.Fatalf("%v reconnect %d: resumed=false reject=%q", v, i, code)
+			}
+		}
+	}
+}
+
 // TestResumeExpiredTicket: a ticket past its TTL gets the typed
 // expired_ticket outcome, the session falls back to full base OTs on the
 // same connection, and the fallback issues a fresh ticket that works.
@@ -118,6 +236,7 @@ func TestResumeExpiredTicket(t *testing.T) {
 
 	p := NewPreamble()
 	connectPreamble(t, ln, "", p).Close()
+	awaitTicketPublished(eng, p)
 
 	// Lapse the ticket deterministically through the cache's clock seam
 	// rather than sleeping against a real TTL.

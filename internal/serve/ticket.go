@@ -42,6 +42,14 @@ type ticketCache struct {
 	entries map[string]*ticketEntry
 	lru     *list.List // of *ticketEntry; front = most recently used
 
+	// pending maps each reserved ticket whose session setup is still
+	// running to a channel closed when that setup settles (insert
+	// published the ticket, or settle abandoned it). The client holds the
+	// ticket as soon as its own half of setup returns, which can be before
+	// the engine's half publishes it; a reconnect that fast waits here
+	// instead of missing the resumed path.
+	pending map[string]chan struct{}
+
 	// now is a test seam for expiry.
 	now func() time.Time
 
@@ -107,6 +115,7 @@ func newTicketCache(ttl time.Duration, budget int64, entropy io.Reader) *ticketC
 		ttl:      ttl,
 		budget:   budget,
 		entries:  map[string]*ticketEntry{},
+		pending:  map[string]chan struct{}{},
 		lru:      list.New(),
 		now:      time.Now,
 		entropy:  entropy,
@@ -152,8 +161,29 @@ func joinNonce(client, server []byte) []byte {
 // reserve generates a fresh opaque ticket identifier. The entry is not in
 // the cache yet — the welcome carries the ticket before the OT setup that
 // produces its seed material completes; insert publishes it afterwards.
+// Until then the ticket is pending, and the reserving session must settle
+// it on every path that does not reach insert.
 func (tc *ticketCache) reserve() []byte {
-	return randomID(tc.entropy)
+	id := randomID(tc.entropy)
+	tc.mu.Lock()
+	tc.pending[string(id)] = make(chan struct{})
+	tc.mu.Unlock()
+	return id
+}
+
+// settle ends a ticket's pending reservation, waking any redeem waiting on
+// it; a no-op once insert has published the ticket.
+func (tc *ticketCache) settle(id []byte) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	tc.settleLocked(string(id))
+}
+
+func (tc *ticketCache) settleLocked(id string) {
+	if ch, ok := tc.pending[id]; ok {
+		close(ch)
+		delete(tc.pending, id)
+	}
 }
 
 // insert publishes seed material under a reserved ticket and evicts LRU
@@ -173,7 +203,8 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
 	// Prune lapsed tickets eagerly: secret correlation seeds must not
 	// outlive their TTL just because the holder never reconnects and the
 	// byte budget never bites. Inserts happen at most once per full
-	// handshake (~0.6 s of base OTs each), so a linear scan is free.
+	// handshake (tens of ms of base OTs each) and the default budget holds
+	// about a thousand entries, so a linear scan costs microseconds.
 	// Not-Before, not After: a ticket is dead AT its expiry instant, the
 	// same boundary redeem enforces.
 	now := tc.now()
@@ -191,6 +222,7 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
 	}
 	tc.entries[e.id] = e
 	e.elem = tc.lru.PushFront(e)
+	tc.settleLocked(e.id)
 	tc.bytes += e.size
 	tc.issued++
 	tc.model(model).issued++
@@ -213,9 +245,16 @@ func (tc *ticketCache) insert(id []byte, state *delphi.OTResume, model string) {
 // success it returns the state, refreshes the TTL (a sliding window), and
 // bumps the LRU; otherwise it returns the typed welcome reject code. The
 // entry survives redemption — one ticket serves every reconnect until it
-// expires or is evicted.
+// expires or is evicted. A ticket still pending is waited for: the session
+// that reserved it is in setup, and settles it whether setup succeeds or
+// fails (engine close included), so the wait is bounded by that setup.
 func (tc *ticketCache) redeem(id []byte, model string) (*delphi.OTResume, string) {
 	tc.mu.Lock()
+	if ch, ok := tc.pending[string(id)]; ok {
+		tc.mu.Unlock()
+		<-ch
+		tc.mu.Lock()
+	}
 	defer tc.mu.Unlock()
 	e, ok := tc.entries[string(id)]
 	if !ok {

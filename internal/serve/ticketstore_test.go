@@ -383,6 +383,7 @@ func TestTicketCacheReloadAcrossRestart(t *testing.T) {
 	if !bytes.Equal(gotRaw, wantRaw) {
 		t.Fatal("reloaded seed material diverged from the original")
 	}
+	tc2.flush() // the redeem re-persists the slid expiry in the background
 }
 
 // TestTicketCacheLoadRespectsBudget: records loaded at attach are subject
@@ -433,6 +434,10 @@ func TestTicketCacheLoadRespectsBudget(t *testing.T) {
 	if !bytes.Equal(gotRaw, liveRaw) {
 		t.Fatal("stale disk copy displaced the live entry")
 	}
+	// The evictions and the redeem queue background disk jobs; let them
+	// finish before the TempDir cleanups remove the directories.
+	tc.flush()
+	tc2.flush()
 }
 
 // TestTicketExpiryAtExactTTLBoundary is the regression test for the

@@ -36,7 +36,12 @@ const (
 	// already validated at ticket issue, so after a Resumed welcome the
 	// first data frames are protocol traffic, not the public key. Full
 	// handshakes still carry the key flight unchanged.
-	wireVersion = 4
+	// wireVersion 5 replaced the base-OT flights: A is one 65-byte P-256
+	// point and the receiver sends 65 bytes per OT (was 192 each over
+	// MODP-1536), so a v4 peer would fail mid-OT on a length check instead
+	// of getting a typed version rejection. Hellos also gained no_ticket,
+	// set by clients without a preamble to keep a ticket in.
+	wireVersion = 5
 
 	tagData byte = 0x00
 	tagCtrl byte = 0x01
@@ -76,12 +81,14 @@ type ctrlMsg struct {
 // wants to be served; empty means the engine's default model. Ticket, when
 // present, asks to resume OT setup from the server's cached seed material;
 // Nonce is the client's half of the per-session resumption nonce and must
-// accompany a ticket.
+// accompany a ticket. NoTicket says the client has nowhere to keep a
+// resumption ticket, so the engine neither issues nor caches one.
 type helloMsg struct {
-	Version int    `json:"version"`
-	Model   string `json:"model,omitempty"`
-	Ticket  []byte `json:"ticket,omitempty"`
-	Nonce   []byte `json:"nonce,omitempty"`
+	Version  int    `json:"version"`
+	Model    string `json:"model,omitempty"`
+	Ticket   []byte `json:"ticket,omitempty"`
+	Nonce    []byte `json:"nonce,omitempty"`
+	NoTicket bool   `json:"no_ticket,omitempty"`
 }
 
 // welcomeMsg answers it with everything the client needs to instantiate its
